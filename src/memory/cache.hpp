@@ -145,8 +145,7 @@ class Cache {
 
   /// Set index of `addr`'s line — the granularity at which fills,
   /// invalidations, and LRU touches invalidate outstanding LineRef /
-  /// FillCursor handles (the batched access path tracks disturbed sets
-  /// at exactly this granularity).
+  /// FillCursor handles.
   std::uint64_t set_of(Addr addr) const { return set_index(line_of(addr)); }
 
   /// Present-line state via a handle (kInvalid for a falsy handle).

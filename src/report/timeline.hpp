@@ -29,7 +29,7 @@
 #include <cstdio>
 #include <string>
 
-#include "shard/orchestrator.hpp"
+#include "shard/line_merge.hpp"
 
 namespace dsm::report {
 

@@ -570,6 +570,56 @@ class Fleet {
     }
   }
 
+  /// Reads every socket to EOF after fin, discarding stragglers (they
+  /// can only be duplicates — every index is done). Bounded by the
+  /// heartbeat deadline: a peer that neither answers nor closes is
+  /// closed (and killed, in fork mode) rather than wedging a completed
+  /// fleet.
+  void drain_after_fin() {
+    const std::uint64_t give_up_at =
+        steady_ms() + opt_.tuning.heartbeat_deadline_ms;
+    for (;;) {
+      std::vector<pollfd> pfds;
+      std::vector<unsigned> owners;
+      for (unsigned i = 0; i < slots_.size(); ++i)
+        if (slots_[i].fd >= 0) {
+          pfds.push_back({slots_[i].fd, POLLIN, 0});
+          owners.push_back(i);
+        }
+      if (pfds.empty()) return;
+      const std::uint64_t now = steady_ms();
+      if (now >= give_up_at) break;
+      const int rc = ::poll(
+          pfds.data(), static_cast<nfds_t>(pfds.size()),
+          static_cast<int>(std::min<std::uint64_t>(give_up_at - now, 1000)));
+      if (rc < 0 && errno != EINTR) break;
+      for (std::size_t k = 0; k < pfds.size(); ++k) {
+        if (pfds[k].revents == 0) continue;
+        Slot& s = slots_[owners[k]];
+        char buf[65536];
+        const ssize_t n = ::recv(s.fd, buf, sizeof buf, 0);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {
+          s.frames = FrameSplitter{};  // stragglers are not truncation
+          disconnect(owners[k], "drained");
+        }
+      }
+    }
+    for (unsigned i = 0; i < slots_.size(); ++i) {
+      Slot& s = slots_[i];
+      if (s.fd < 0) continue;
+      std::fprintf(stderr,
+                   "fleet: worker %u did not close within %llu ms of fin; "
+                   "giving up on it\n",
+                   i,
+                   static_cast<unsigned long long>(
+                       opt_.tuning.heartbeat_deadline_ms));
+      if (s.pid > 0) ::kill(s.pid, SIGKILL);
+      s.frames = FrameSplitter{};
+      disconnect(i, "abandoned after fin");
+    }
+  }
+
   int teardown() {
     const bool complete = table_ && table_->all_done() && !failed_;
     if (complete) {
@@ -581,23 +631,8 @@ class Fleet {
         s.fin_sent = true;
         send_line_fd(s.fd, format_fin());
       }
-      // Drain each socket to EOF, discarding stragglers (they can only
-      // be duplicates — every index is done). Workers are independent,
-      // so a sequential blocking drain cannot deadlock.
-      for (unsigned i = 0; i < slots_.size(); ++i) {
-        Slot& s = slots_[i];
-        while (s.fd >= 0) {
-          char buf[65536];
-          const ssize_t n = ::recv(s.fd, buf, sizeof buf, 0);
-          if (n < 0 && errno == EINTR) continue;
-          if (n <= 0) {
-            s.frames = FrameSplitter{};  // stragglers are not truncation
-            disconnect(i, "drained");
-            break;
-          }
-        }
-        log_event(i, "done", 0, 0);
-      }
+      drain_after_fin();
+      for (unsigned i = 0; i < slots_.size(); ++i) log_event(i, "done", 0, 0);
       std::fflush(out_);
       if (deaths_ > 0 || duplicates_ > 0 || truncated_frames_ > 0)
         std::fprintf(stderr,

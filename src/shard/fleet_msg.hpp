@@ -12,14 +12,18 @@
 //         "give me work" — sent after hello and after finishing a lease.
 //   coordinator -> worker
 //     {"fleet":"welcome","worker":W,"hb_ms":H}
-//         assigns the slot id and the heartbeat cadence.
+//         the reply to hello: assigns the slot id and the heartbeat
+//         cadence.
 //     {"fleet":"lease","lo":L,"hi":H}
 //         run spec indices [L, H); optionally carries
 //         ,"fault":"<kind>","fault_spec":S — the deterministic
 //         fault-injection arming (fires exactly once per run: the
 //         coordinator attaches it only to the first lease containing S).
 //     {"fleet":"fin"}
-//         sweep drained; disconnect and exit 0.
+//         sweep drained; disconnect and exit 0. The reply to pull, and
+//         also a legal reply to hello: a worker whose hello the
+//         coordinator had not read when the sweep completed gets fin
+//         instead of welcome.
 //
 // Parsers follow the repo's strict-scanner idiom (heartbeat.cpp): these
 // are private wire formats between one binary's coordinator and workers,

@@ -41,7 +41,9 @@ class PullWorker {
  public:
   /// Connects to `endpoint`, sends hello (bench + expanded sweep size),
   /// and blocks for the welcome. ok() is false on connect/handshake
-  /// failure (diagnostic on stderr).
+  /// failure (diagnostic on stderr). A fin in place of the welcome (the
+  /// sweep completed first) is a clean handshake: ok() is true and
+  /// next_lease() returns nullopt at once.
   PullWorker(const Endpoint& endpoint, std::string bench, std::size_t total);
   ~PullWorker();
   PullWorker(const PullWorker&) = delete;
@@ -96,6 +98,7 @@ class PullWorker {
   std::uint64_t hb_interval_ms_ = 1000;
   bool ok_ = false;
   bool lost_ = false;
+  bool fin_ = false;  ///< fin answered hello: the sweep is already over
   FaultKind fault_ = FaultKind::kNone;
   std::size_t fault_spec_ = 0;
 

@@ -235,8 +235,8 @@ void StreamSink::emit(const StreamRecord& r) {
   const std::string line = format_record(bench_, r);
   std::fwrite(line.data(), 1, line.size(), out_);
   std::fputc('\n', out_);
-  // Per-record flush: workers write into a pipe; the orchestrator merges
-  // while the sweep is still running.
+  // Per-record flush: a consumer reading the pipe or file can merge while
+  // the sweep is still running.
   std::fflush(out_);
   ++emitted_;
 }

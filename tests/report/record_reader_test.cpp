@@ -81,6 +81,31 @@ TEST(ReadRecordTest, RoundTripsAllFields) {
   EXPECT_EQ(rec.m().at("count").unsigned_int(), 7u);
 }
 
+// Stores written while the simulator had a swept batch-size axis carry an
+// optional envelope field `batch`. No writer emits it any more, but those
+// stores must still parse — and the field is still validated.
+TEST(ReadRecordTest, HistoricalBatchFieldStillParsesAndIsValidated) {
+  const auto with_batch = [](const std::string& value) {
+    return std::string(
+               R"({"v":2,"bench":"b","spec_index":0,"key":"LU/8p/b4",)"
+               R"("seed":"0x1","metrics":{"app":"LU","nodes":8,)"
+               R"("variant":"","param":0,"batch":)") +
+           value + R"(,"scale":"test","m":{"count":7}}})";
+  };
+  RecordView rec;
+  std::string err;
+  ASSERT_TRUE(read_record(with_batch("4"), &rec, &err)) << err;
+  EXPECT_EQ(rec.key, "LU/8p/b4");
+  EXPECT_EQ(rec.m().at("count").unsigned_int(), 7u);
+
+  for (const char* bad : {"0", "\"4\""}) {
+    EXPECT_FALSE(read_record(with_batch(bad), &rec, &err)) << bad;
+    EXPECT_NE(err.find("field 'batch' must be a positive integer"),
+              std::string::npos)
+        << bad << ": got diagnostic '" << err << "'";
+  }
+}
+
 // Each malformed input is rejected with a diagnostic naming ITS failure —
 // not a generic "bad record".
 TEST(ReadRecordTest, DistinctDiagnosticsPerFailureMode) {

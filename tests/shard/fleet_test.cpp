@@ -2,15 +2,20 @@
 // with scripted in-process "workers" speaking the pull protocol over real
 // socketpairs: happy-path merge, worker death mid-sweep (byte-identical
 // recovery — the acceptance bar), duplicate-record discard, truncated
-// frames, resume-from-store leasing only the gaps, the lease ledger, and
-// the empty sweep. No forks, no sleeps: deaths are socket closes, and
-// the default 30 s heartbeat deadline never fires in a sub-second test.
+// frames, resume-from-store leasing only the gaps, the lease ledger, the
+// empty sweep, and the teardown interleavings (a hello the coordinator
+// reads only after the sweep is done, a peer that never closes). No
+// forks, no sleeps: deaths are socket closes, and the default 30 s
+// heartbeat deadline never fires in a sub-second test; only the
+// never-closing peer shortens it, to bound its teardown.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +23,7 @@
 
 #include "shard/coordinator.hpp"
 #include "shard/fleet_msg.hpp"
+#include "shard/pull_worker.hpp"
 #include "shard/resume.hpp"
 #include "shard/stream_sink.hpp"
 #include "shard/transport.hpp"
@@ -39,6 +45,12 @@ std::string record_line(std::size_t index) {
   return format_record(kBench, r);
 }
 
+/// A scratch file path unique to this process, so parallel runs of the
+/// suite (the repeat stress) never share a lease log or store.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + name + "." + std::to_string(::getpid());
+}
+
 /// The expected merged output for a `total`-point sweep.
 std::string expected_output(std::size_t total) {
   std::string out;
@@ -53,6 +65,15 @@ struct WorkerScript {
   bool truncate_on_death = false;
   /// Send the first record of the first lease twice (a re-lease race).
   bool duplicate_first = false;
+  /// Runs before hello is sent (holds the hello back when it blocks).
+  std::function<void()> before_hello;
+  /// Runs after the worker is done and its socket is closed.
+  std::function<void()> on_exit;
+  /// Receives the coordinator's reply to hello.
+  std::string* hello_reply = nullptr;
+  /// After the hello reply, never pull and never close first: read and
+  /// drop whatever arrives until the coordinator closes its end.
+  bool never_close = false;
 };
 
 /// One scripted pull worker over an already-connected fd. Records every
@@ -61,9 +82,19 @@ void run_worker(int fd, std::size_t total, const WorkerScript& script,
                 std::vector<Lease>* leases = nullptr,
                 std::mutex* mu = nullptr) {
   FdTransport t(fd);
+  if (script.before_hello) script.before_hello();
   if (!t.send_line(format_hello(kBench, total))) return;
   std::string line;
-  if (!t.recv_line(&line)) return;  // welcome
+  if (!t.recv_line(&line)) return;
+  if (script.hello_reply != nullptr) *script.hello_reply = line;
+  if (script.never_close) {
+    while (t.recv_line(&line)) {
+    }
+    return;
+  }
+  // A fin here means the sweep finished before our hello was read.
+  const auto reply = parse_fleet_msg(line);
+  if (!reply || reply->type != FleetMsg::Type::kWelcome) return;
   std::size_t emitted = 0;
   bool first_record = true;
   for (;;) {
@@ -107,8 +138,10 @@ FleetRun run_scripted_fleet(std::size_t total,
     int sv[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     opt.preconnected_fds.push_back(sv[0]);
-    threads.emplace_back(
-        [fd = sv[1], total, script] { run_worker(fd, total, script); });
+    threads.emplace_back([fd = sv[1], total, script] {
+      run_worker(fd, total, script);
+      if (script.on_exit) script.on_exit();
+    });
   }
   FleetRun result;
   std::FILE* out = std::tmpfile();
@@ -185,8 +218,69 @@ TEST(FleetTest, EmptySweepFinsEveryoneAndSucceeds) {
   EXPECT_TRUE(run.output.empty());
 }
 
+TEST(FleetTest, HelloReadAfterTheSweepIsAnsweredWithFin) {
+  // The interleaving that once hung teardown: the coordinator finishes
+  // the sweep and fins every connected slot, including one whose hello
+  // it has not read yet. Hold worker 1's hello until worker 0 has been
+  // fin'd, so the reply to that hello can only be fin — which must end
+  // the worker cleanly, and the fleet must still succeed.
+  std::promise<void> first_done;
+  const std::shared_future<void> first_done_f =
+      first_done.get_future().share();
+  WorkerScript first;
+  first.on_exit = [&first_done] { first_done.set_value(); };
+  std::string reply;
+  WorkerScript held;
+  held.before_hello = [first_done_f] { first_done_f.wait(); };
+  held.hello_reply = &reply;
+  const auto run = run_scripted_fleet(6, {first, held});
+  EXPECT_EQ(run.rc, 0);
+  EXPECT_EQ(run.output, expected_output(6));
+  const auto msg = parse_fleet_msg(reply);
+  ASSERT_TRUE(msg.has_value()) << reply;
+  EXPECT_EQ(msg->type, FleetMsg::Type::kFin);
+}
+
+TEST(FleetTest, PullWorkerTakesFinForHelloAsACleanFinish) {
+  // The real worker's side of the same interleaving: fin in place of the
+  // welcome is a clean handshake with no work — the harness loop runs no
+  // lease and exits 0 (transport intact).
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::thread coordinator([fd = sv[0]] {
+    FdTransport t(fd);
+    std::string hello;
+    ASSERT_TRUE(t.recv_line(&hello));
+    EXPECT_EQ(parse_fleet_msg(hello)->type, FleetMsg::Type::kHello);
+    ASSERT_TRUE(t.send_line(format_fin()));
+  });
+  Endpoint ep;
+  ep.is_fd = true;
+  ep.fd = sv[1];
+  {
+    PullWorker worker(ep, kBench, 3);
+    EXPECT_TRUE(worker.ok());
+    EXPECT_FALSE(worker.next_lease().has_value());
+    EXPECT_FALSE(worker.transport_lost());
+  }
+  coordinator.join();
+}
+
+TEST(FleetTest, TeardownGivesUpOnAPeerThatNeverCloses) {
+  // A peer that neither answers nor closes after fin must not wedge a
+  // completed fleet: the drain gives up after the heartbeat deadline,
+  // closes the slot, and the run still succeeds with complete output.
+  FleetOptions opt;
+  opt.tuning.heartbeat_deadline_ms = 1000;
+  WorkerScript silent;
+  silent.never_close = true;
+  const auto run = run_scripted_fleet(4, {{}, silent}, opt);
+  EXPECT_EQ(run.rc, 0);
+  EXPECT_EQ(run.output, expected_output(4));
+}
+
 TEST(FleetTest, LeaseLogRecordsLeasedAndDoneEvents) {
-  const std::string log_path = ::testing::TempDir() + "fleet_test_lease.log";
+  const std::string log_path = temp_path("fleet_test_lease.log");
   std::remove(log_path.c_str());
   FleetOptions opt;
   opt.lease_log = log_path;
@@ -216,7 +310,7 @@ TEST(FleetTest, ResumeLeasesOnlyTheGapsAndCompletesTheStore) {
   // — a previous fleet died mid-write). The resumed fleet must re-emit
   // the recovered records, lease only {2,3,5}, and produce bytes
   // identical to an undisturbed complete run.
-  const std::string store = ::testing::TempDir() + "fleet_test_resume.ndjson";
+  const std::string store = temp_path("fleet_test_resume.ndjson");
   {
     std::FILE* f = std::fopen(store.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -267,7 +361,7 @@ TEST(FleetTest, ResumeLeasesOnlyTheGapsAndCompletesTheStore) {
 TEST(FleetTest, MismatchedResumeStoreFailsTheRun) {
   // A store whose indices exceed the sweep is the wrong store — resuming
   // over it silently would bless a mismatched merge.
-  const std::string store = ::testing::TempDir() + "fleet_test_wrong.ndjson";
+  const std::string store = temp_path("fleet_test_wrong.ndjson");
   {
     std::FILE* f = std::fopen(store.c_str(), "w");
     ASSERT_NE(f, nullptr);

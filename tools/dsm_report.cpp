@@ -4,11 +4,10 @@
 // lines.
 //
 //   dsm_report merge s0.ndjson s1.ndjson ... > merged.ndjson
-//       K-way merge of per-shard record files in spec order — the same
-//       merge_streams the in-process `--shards=N` orchestrator runs over
-//       worker pipes, so the output is byte-identical to a single-host
-//       `--shards=N` (and `--shard=0/1`) stream. Fails loudly on gaps,
-//       duplicates, mixed benches, or unparsable lines.
+//       K-way merge of per-shard record files in spec order
+//       (shard::merge_streams), so the output is byte-identical to a
+//       single-host `--shards=N` (and `--shard=0/1`) stream. Fails loudly
+//       on gaps, duplicates, mixed benches, or unparsable lines.
 //
 //   dsm_report render [--csv=DIR] merged.ndjson
 //       Rebuilds the harness's human tables/curves (and CSV exports) from
@@ -85,7 +84,7 @@
 #include "report/timeline.hpp"
 #include "shard/fleet_msg.hpp"
 #include "shard/heartbeat.hpp"
-#include "shard/orchestrator.hpp"
+#include "shard/line_merge.hpp"
 #include "shard/resume.hpp"
 #include "shard/shard_plan.hpp"
 
