@@ -1,24 +1,24 @@
 #include "analysis/classifier.hpp"
 
-#include <unordered_set>
+#include "phase/bbv.hpp"
 
 namespace dsm::analysis {
 
 ClassifiedTrace classify_trace(const std::vector<phase::IntervalRecord>& trace,
                                bool use_dds, unsigned footprint_capacity,
                                phase::Thresholds thresholds) {
-  phase::FootprintTable table(footprint_capacity, use_dds);
   ClassifiedTrace out;
-  out.assignment.reserve(trace.size());
-  std::unordered_set<PhaseId> seen;
-  for (const auto& rec : trace) {
-    const auto c = table.classify(rec.bbv, rec.dds, thresholds.bbv,
-                                  use_dds ? thresholds.dds : 0.0);
-    out.assignment.push_back(c.phase);
-    seen.insert(c.phase);
-  }
-  out.distinct_phases = static_cast<unsigned>(seen.size());
-  out.footprint_replacements = table.replacements();
+  out.assignment.resize(trace.size());
+  std::vector<ReplayEntry> table;
+  table.reserve(footprint_capacity);
+  const auto counts = replay_footprint(
+      trace, use_dds, footprint_capacity, thresholds,
+      [&trace](std::uint32_t i, std::uint32_t j, std::uint64_t cap) {
+        return phase::manhattan_capped(trace[i].bbv, trace[j].bbv, cap);
+      },
+      table, out.assignment);
+  out.distinct_phases = counts.phases;
+  out.footprint_replacements = counts.replacements;
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "phase/interval_record.hpp"
 
@@ -28,5 +29,9 @@ std::vector<PhaseStat> per_phase_stats(
 /// Identifier CoV of CPI: interval-weighted mean of per-phase CoVs.
 double identifier_cov(const std::vector<phase::IntervalRecord>& trace,
                       std::span<const PhaseId> assignment);
+
+/// The same weighted mean from per-phase CPI statistics, summed in the
+/// order given (ascending phase id gives the overload above bit for bit).
+double identifier_cov(std::span<const RunningStat> per_phase);
 
 }  // namespace dsm::analysis

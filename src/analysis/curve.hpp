@@ -55,9 +55,11 @@ std::vector<CurvePoint> lower_envelope(std::vector<CurvePoint> points);
 std::vector<CurvePoint> bbv_ddv_cov_curve(
     const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p);
 
-/// Interpolates the curve's CoV at a given phase count (linear between
-/// bracketing points; clamped at the ends). Used by benches to report
-/// "CoV at N phases" comparisons like the paper's FMM numbers.
+/// Staircase reading of the curve at a phase budget: the smallest CoV of
+/// any point with mean_phases <= `phases`, or, when the budget lies below
+/// every point, the CoV of the point with the fewest phases. No
+/// interpolation. Used by benches to report "CoV at N phases"
+/// comparisons like the paper's FMM numbers.
 double cov_at_phases(const std::vector<CurvePoint>& curve, double phases);
 
 /// Smallest mean phase count on the curve achieving CoV <= target
