@@ -180,12 +180,8 @@ sim::AppFn make_fmm(const FmmParams& p) {
   DSM_ASSERT(p.min_level >= 1 && p.min_level < p.leaf_log2);
   auto shared = std::make_shared<FmmShared>();
 
-  // Host-side physics, built on the caller's thread rather than by
-  // simulated thread 0. Each run's processor threads are fresh OS threads
-  // that take over the previous run's glibc malloc arenas in another
-  // order, so storage thread 0 allocated came to be retained by every
-  // arena in turn: a process running FMM back to back grew its peak RSS
-  // by about 1 MB per run.
+  // Host-side physics, built here on the caller's thread, before any
+  // simulated processor runs.
   {
     FmmShared& s = *shared;
     s.leaf_level = p.leaf_log2;

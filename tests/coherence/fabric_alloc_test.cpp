@@ -16,9 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "common/config.hpp"
@@ -26,26 +23,7 @@
 #include "memory/home_map.hpp"
 #include "network/network.hpp"
 #include "obs/observability.hpp"
-
-// Global operator new/delete replacements that count allocations, so the
-// zero-allocation property is a regression-tested invariant, not a
-// code-review promise. (Same pattern as tests/network/network_test.cpp;
-// each gtest binary is its own process, so the replacements are local to
-// this suite.)
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace dsm::coh {
 namespace {
@@ -108,12 +86,12 @@ TEST(FabricAllocTest, SteadyStateAccessPathIsAllocationFree) {
   }
 
   // Steady state: not one heap allocation over 200k further accesses.
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::alloc_count();
   for (std::uint64_t i = 400'000; i < 600'000; ++i) {
     const auto a = gen.next(i);
     now += 4 + (fabric.access(a.node, a.addr, a.write, now).latency >> 3);
   }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(test::alloc_count(), before);
 
   fabric.check_invariants();
 }
@@ -146,12 +124,12 @@ TEST(FabricAllocTest, SteadyStateIsAllocationFreeWithTracingOn) {
     now += 4 + (fabric.access(a.node, a.addr, a.write, now).latency >> 3);
   }
 
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::alloc_count();
   for (std::uint64_t i = 400'000; i < 600'000; ++i) {
     const auto a = gen.next(i);
     now += 4 + (fabric.access(a.node, a.addr, a.write, now).latency >> 3);
   }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(test::alloc_count(), before);
 
   // The instrumentation actually ran: counters moved and every ring
   // wrapped (drops counted, capacity held).

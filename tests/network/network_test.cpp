@@ -2,30 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "common/config.hpp"
 #include "network/contention.hpp"
-
-// Global operator new/delete replacements that count allocations, so the
-// "zero per-message heap allocations on the message_latency path" property
-// is a regression-tested invariant, not a code-review promise.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_new.hpp"
 
 namespace dsm::net {
 namespace {
@@ -113,15 +92,14 @@ TEST(NetworkTest, MessageLatencyPathIsAllocationFree) {
   // after that, message_latency must never touch the heap.
   auto cfg = cfg32();
   Network n(cfg);
-  const std::uint64_t before =
-      g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::alloc_count();
   Cycle now = 0;
   for (NodeId src = 0; src < 32; ++src)
     for (NodeId dst = 0; dst < 32; ++dst) {
       now += n.message_latency(src, dst, 32, now, TrafficClass::kData);
       n.probe_latency(src, dst, 32, now);
     }
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(test::alloc_count(), before);
 }
 
 TEST(LinkContentionTrackerTest, UtilizationIsPreviousEpoch) {

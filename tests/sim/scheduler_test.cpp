@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <latch>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace dsm::sim {
@@ -107,6 +111,91 @@ TEST(SchedulerTest, OnlyRunnableDetectsLoneliness) {
     }
   });
   EXPECT_TRUE(observed);
+}
+
+std::size_t os_thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(SchedulerTest, RunStartsNoOsThread) {
+  const std::size_t before = os_thread_count();
+  Scheduler s(8);
+  std::vector<std::size_t> seen(8, 0);
+  s.run([&](unsigned tid) {
+    s.advance(tid, tid + 1);
+    s.yield(tid);
+    seen[tid] = os_thread_count();
+  });
+  for (const std::size_t n : seen) EXPECT_EQ(n, before);
+}
+
+// Each frame holds a 1 KiB buffer the compiler must keep: the add after
+// the call rules out a tail call, and the volatile rules out folding.
+[[gnu::noinline]] unsigned recurse(unsigned depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  pad[sizeof pad - 1] = 1;
+  if (depth == 0) return static_cast<unsigned char>(pad[0]);
+  return recurse(depth - 1) + static_cast<unsigned char>(pad[sizeof pad - 1]);
+}
+
+TEST(SchedulerTest, FiberRecursesHalfItsStack) {
+  // 512 frames of > 1 KiB each: over half of kStackBytes on every fiber.
+  constexpr unsigned kDepth = Scheduler::kStackBytes / 2 / 1024;
+  Scheduler s(4);
+  std::vector<unsigned> got(4, 0);
+  s.run([&](unsigned tid) {
+    s.advance(tid, 1);
+    s.yield(tid);  // the other fibers' stacks are live meanwhile
+    got[tid] = recurse(kDepth);
+  });
+  for (const unsigned g : got) EXPECT_EQ(g, kDepth);
+}
+
+TEST(SchedulerTest, ConcurrentSchedulersShareNoState) {
+  auto trace = [](std::latch* both_running) {
+    Scheduler s(4);
+    std::vector<unsigned> order;
+    s.run([&](unsigned tid) {
+      for (int i = 0; i < 200; ++i) {
+        // Both Schedulers are inside a fiber at once before either goes
+        // on: any switch state shared between them would cross over.
+        if (both_running != nullptr && tid == 0 && i == 0)
+          both_running->arrive_and_wait();
+        order.push_back(tid);
+        s.advance(tid, (tid + 1) * 7 + static_cast<unsigned>(i % 3));
+        s.yield(tid);
+      }
+    });
+    return std::pair(order, s.context_switches());
+  };
+  const auto want = trace(nullptr);
+  std::latch both_running(2);
+  decltype(trace(nullptr)) got[2];
+  std::thread a([&] { got[0] = trace(&both_running); });
+  std::thread b([&] { got[1] = trace(&both_running); });
+  a.join();
+  b.join();
+  EXPECT_EQ(got[0], want);
+  EXPECT_EQ(got[1], want);
+}
+
+TEST(SchedulerDeathTest, StackOverflowHitsGuardPage) {
+  // A little over kStackBytes of frames: the fiber must die on its guard
+  // page. Without one it would run on into fiber 0's stack, which sits
+  // just below, and finish.
+  EXPECT_DEATH(
+      {
+        Scheduler s(2);
+        s.run([&](unsigned tid) {
+          if (tid == 1) recurse(Scheduler::kStackBytes / 1024 + 64);
+        });
+      },
+      "");
 }
 
 TEST(SchedulerDeathTest, DeadlockAborts) {
