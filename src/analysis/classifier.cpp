@@ -9,14 +9,14 @@ ClassifiedTrace classify_trace(const std::vector<phase::IntervalRecord>& trace,
                                phase::Thresholds thresholds) {
   ClassifiedTrace out;
   out.assignment.resize(trace.size());
-  std::vector<ReplayEntry> table;
-  table.reserve(footprint_capacity);
+  ReplayState state;
+  state.table.reserve(footprint_capacity);
   const auto counts = replay_footprint(
       trace, use_dds, footprint_capacity, thresholds,
       [&trace](std::uint32_t i, std::uint32_t j, std::uint64_t cap) {
         return phase::manhattan_capped(trace[i].bbv, trace[j].bbv, cap);
       },
-      table, out.assignment);
+      state, out.assignment);
   out.distinct_phases = counts.phases;
   out.footprint_replacements = counts.replacements;
   return out;

@@ -132,16 +132,23 @@ struct PointSums {
   double tuning = 0.0;
 };
 
-/// Evaluates the (bbv_thrs x dds_fracs) grid, bbv-major, on every
-/// processor's trace, averaging per-processor identifier CoVs and phase
-/// counts over the non-empty processors.
+/// Evaluates the (bbv_thrs x dds_fracs) grid on every processor's trace,
+/// averaging per-processor identifier CoVs and phase counts over the
+/// non-empty processors. The points are returned bbv-major.
 ///
 /// Each processor's pairwise distances are computed once into a triangle
 /// that the replay reads instead of recomputing Manhattan distances.
 /// Classification depends on the thresholds only through which pairwise
 /// BBV distances and |DDS differences| pass them, so each grid point is
 /// keyed by the two pass counts and each distinct key is classified once.
-/// Every per-point sum still adds processors 0..P-1 in order, so the
+///
+/// Keys are walked DDS-major: by DDS pass count, then by BBV pass count.
+/// Consecutive keys of one DDS column pass the same DDS differences and
+/// differ only by a higher BBV threshold, so each replay resumes the
+/// previous one at its first interval whose decision can change
+/// (ReplayState::first_change), or reuses its result when there is none.
+/// The resumed replay is the full replay bit for bit (see ReplayState),
+/// and every per-point sum still adds processors 0..P-1 in order, so the
 /// result is the per-point evaluation bit for bit.
 std::vector<CurvePoint> sweep_grid(
     const std::vector<phase::ProcessorTrace>& procs, const CurveParams& p,
@@ -163,7 +170,7 @@ std::vector<CurvePoint> sweep_grid(
   std::vector<std::pair<std::uint64_t, std::uint64_t>> keys(grid);
   std::vector<std::uint32_t> order(grid);
   std::vector<ProcResult> results(grid);
-  std::vector<ReplayEntry> table;
+  ReplayState state;
   std::vector<PhaseId> assignment;
   std::vector<RunningStat> per_phase;
 
@@ -203,8 +210,8 @@ std::vector<CurvePoint> sweep_grid(
     }
 
     for (std::size_t g = 0; g < grid; ++g) {
-      keys[g] = {bbv_counts[g / dds_fracs.size()],
-                 dds_counts[g % dds_fracs.size()]};
+      keys[g] = {dds_counts[g % dds_fracs.size()],
+                 bbv_counts[g / dds_fracs.size()]};
       order[g] = static_cast<std::uint32_t>(g);
     }
     std::sort(order.begin(), order.end(),
@@ -215,16 +222,21 @@ std::vector<CurvePoint> sweep_grid(
     assignment.resize(n);
     for (std::size_t r = 0; r < grid; ++r) {
       const std::uint32_t g = order[r];
-      if (r > 0 && keys[order[r - 1]] == keys[g]) {
-        results[g] = results[order[r - 1]];
-        continue;
-      }
       const phase::Thresholds t{.bbv = bbv_thrs[g / dds_fracs.size()],
                                 .dds = dds_thrs[g % dds_fracs.size()]};
+      // A new DDS column replays from interval 0.
+      std::uint32_t from = 0;
+      if (r > 0 && keys[order[r - 1]].first == keys[g].first) {
+        from = state.first_change(t.bbv);
+        if (from == n) {
+          results[g] = results[order[r - 1]];
+          continue;
+        }
+      }
       const ReplayCounts c =
           replay_footprint(trace, use_dds, p.footprint_capacity, t,
-                           DistanceTriangle{triangle.data()}, table,
-                           assignment);
+                           DistanceTriangle{triangle.data()}, state,
+                           assignment, from);
       per_phase.assign(c.phases, RunningStat{});
       for (std::size_t i = 0; i < n; ++i)
         per_phase[assignment[i]].add(trace[i].cpi);

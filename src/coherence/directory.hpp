@@ -38,15 +38,17 @@ struct DirEntry {
                  ///< forwarded from the owner instead of memory
   };
 
-  State state = State::kUncached;
+  // Widest member first, so the entry packs into 16 bytes.
   std::uint64_t sharers = 0;   ///< bitset over nodes (full-map)
   NodeId owner = kNoNode;      ///< valid when state == kExclusive/kOwned
+  State state = State::kUncached;
 
   bool is_sharer(NodeId n) const { return (sharers >> n) & 1u; }
   void add_sharer(NodeId n) { sharers |= (1ull << n); }
   void remove_sharer(NodeId n) { sharers &= ~(1ull << n); }
   unsigned sharer_count() const;
 };
+static_assert(sizeof(DirEntry) == 16);
 
 /// The directory slice held by one home node. Entries are created lazily;
 /// an absent entry means kUncached.

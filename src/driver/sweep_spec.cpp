@@ -80,9 +80,10 @@ std::uint64_t spec_seed(const SpecPoint& pt) {
 
 std::string spec_label(const SpecPoint& pt) {
   std::string label = pt.app.empty() ? std::string("run") : pt.app;
-  if (pt.nodes != 0) label += "/" + std::to_string(pt.nodes) + "p";
-  if (!pt.detector.empty()) label += "/" + pt.detector;
-  if (!pt.protocol.empty()) label += "/" + pt.protocol;
+  if (pt.nodes != 0)
+    label.append("/").append(std::to_string(pt.nodes)).append("p");
+  if (!pt.detector.empty()) label.append("/").append(pt.detector);
+  if (!pt.protocol.empty()) label.append("/").append(pt.protocol);
   return label;
 }
 

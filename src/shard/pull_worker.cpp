@@ -91,7 +91,7 @@ void PullWorker::beat() {
     hb.last_spec = last_spec_;
   }
   hb.bench = bench_;
-  hb.shard = "w" + std::to_string(worker_id_);
+  hb.shard = std::string("w").append(std::to_string(worker_id_));
   hb.total = total_;
   hb.wall_ms = steady_ms() - start_ms_;
   hb.maxrss_kb = max_rss_kb();

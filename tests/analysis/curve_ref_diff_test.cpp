@@ -6,7 +6,8 @@
 // processor, recomputes dds_scale, and takes identifier_cov from a
 // std::map tally. The library instead computes each processor's pairwise
 // distance triangle once, replays the footprint rules over interval
-// indices, and classifies each distinct threshold key once. Every
+// indices, and classifies each distinct threshold key once, resuming the
+// previous key's replay where its decisions can first change. Every
 // CurvePoint field must match exactly (==, not near) at every point of
 // bbv_cov_curve and of the full bbv_ddv_cov_points grid.
 #include <gtest/gtest.h>
@@ -20,11 +21,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/classifier.hpp"
 #include "analysis/curve.hpp"
 #include "apps/registry.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "phase/bbv.hpp"
 #include "phase/footprint.hpp"
 #include "sim/machine.hpp"
 
@@ -286,6 +289,130 @@ TEST(CurveRefDiffTest, EmptyAndSingleIntervalProcessorsMatchReference) {
   expect_sweeps_match(random_procs(33, {0, 0}, DdsShape::kClustered), cp,
                       "all empty");
   expect_sweeps_match({}, cp, "no processors");
+}
+
+// ---- resumed replays ----
+
+/// BBVs near one of six base buckets, with two random shares of the weight
+/// moved to random buckets, so pairwise distances spread over the whole
+/// range and a dense threshold sweep changes a few decisions per step.
+std::vector<phase::ProcessorTrace> spread_procs(
+    std::uint64_t seed, const std::vector<unsigned>& lengths) {
+  Rng rng(seed);
+  std::vector<phase::ProcessorTrace> procs(lengths.size());
+  for (std::size_t p = 0; p < lengths.size(); ++p) {
+    procs[p].node = static_cast<NodeId>(p);
+    for (unsigned i = 0; i < lengths[p]; ++i) {
+      phase::IntervalRecord r;
+      r.bbv.assign(32, 0);
+      const auto w1 = static_cast<std::uint32_t>(rng.next_below(24'000));
+      const auto w2 = static_cast<std::uint32_t>(rng.next_below(24'000));
+      r.bbv[rng.next_below(6)] += 65536 - w1 - w2;
+      r.bbv[rng.next_below(32)] += w1;
+      r.bbv[rng.next_below(32)] += w2;
+      r.dds = 1e5 * static_cast<double>(rng.next_below(3) + 1) +
+              rng.uniform_real(0, 2e4);
+      r.cpi = rng.uniform_real(0.5, 3.0);
+      r.instructions = 10'000;
+      r.cycles = static_cast<Cycle>(r.cpi * 10'000);
+      procs[p].intervals.push_back(std::move(r));
+    }
+  }
+  return procs;
+}
+
+/// Where the BBV-only sweep's replays resume, by kind. The first replay
+/// of a column starts at interval 0 and is not counted.
+struct ResumeKinds {
+  unsigned first_stride = 0;  ///< first change in (0, stride): checkpoint 0
+  unsigned on_stride = 0;     ///< first change on a later stride boundary
+  unsigned mid_stride = 0;    ///< first change inside a later stride
+  unsigned last = 0;          ///< first change at the last interval
+  unsigned none = 0;          ///< no change: the previous result is reused
+  unsigned after_eviction = 0;  ///< restored a table that had evicted
+};
+
+/// Walks one processor's BBV thresholds as sweep_grid walks a DDS column,
+/// resuming each replay at the first interval whose decision can change,
+/// and checks every resumed replay against a replay from interval 0.
+void walk_bbv_column(const std::vector<phase::IntervalRecord>& trace,
+                     const CurveParams& cp, ResumeKinds& kinds) {
+  const auto n = static_cast<std::uint32_t>(trace.size());
+  const auto distance = [&trace](std::uint32_t i, std::uint32_t j,
+                                 std::uint64_t) {
+    return phase::manhattan(trace[i].bbv, trace[j].bbv);
+  };
+  ReplayState state, fresh_state;
+  std::vector<PhaseId> assignment(n), fresh(n);
+  for (unsigned k = 0; k < cp.bbv_steps; ++k) {
+    const phase::Thresholds t{
+        .bbv = static_cast<std::uint64_t>(ref_sweep_frac(k, cp.bbv_steps) *
+                                          2.0 * cp.bbv_norm),
+        .dds = 0.0};
+    std::uint32_t from = 0;
+    if (k > 0) {
+      from = state.first_change(t.bbv);
+      if (from == n) {
+        ++kinds.none;
+      } else if (from == n - 1) {
+        ++kinds.last;
+      } else if (from < kReplayStride) {
+        ++kinds.first_stride;
+      } else if (from % kReplayStride == 0) {
+        ++kinds.on_stride;
+      } else {
+        ++kinds.mid_stride;
+      }
+      if (from < n &&
+          state.marks[from / kReplayStride].counts.replacements > 0)
+        ++kinds.after_eviction;
+    }
+    const auto want = replay_footprint(trace, false, cp.footprint_capacity,
+                                       t, distance, fresh_state, fresh);
+    if (from == n) {
+      ASSERT_EQ(assignment, fresh) << "reused at threshold " << t.bbv;
+      continue;
+    }
+    const auto got = replay_footprint(trace, false, cp.footprint_capacity,
+                                      t, distance, state, assignment, from);
+    ASSERT_EQ(assignment, fresh) << "resumed at " << from << ", threshold "
+                                 << t.bbv;
+    ASSERT_EQ(got.phases, want.phases);
+    ASSERT_EQ(got.replacements, want.replacements);
+  }
+}
+
+ResumeKinds walk_bbv_columns(const std::vector<phase::ProcessorTrace>& procs,
+                             const CurveParams& cp) {
+  ResumeKinds kinds;
+  for (const auto& proc : procs) walk_bbv_column(proc.intervals, cp, kinds);
+  return kinds;
+}
+
+TEST(CurveRefDiffTest, ResumedReplaysMatchReference) {
+  CurveParams cp;
+  cp.bbv_steps = 400;
+  // 81-96 intervals: ten or more checkpoint strides each.
+  const auto procs = spread_procs(41, {96, 81, 90, 88});
+  const ResumeKinds kinds = walk_bbv_columns(procs, cp);
+  EXPECT_GT(kinds.first_stride, 0u);
+  EXPECT_GT(kinds.on_stride, 0u);
+  EXPECT_GT(kinds.mid_stride, 0u);
+  EXPECT_GT(kinds.last, 0u);
+  EXPECT_GT(kinds.none, 0u);
+  // The BBV+DDV grid also starts a new DDS column after each one.
+  expect_sweeps_match(procs, cp, "dense thresholds");
+}
+
+TEST(CurveRefDiffTest, ResumeAcrossLruReplacementsMatchesReference) {
+  CurveParams cp;
+  cp.bbv_steps = 400;
+  cp.footprint_capacity = 4;
+  const auto procs = spread_procs(43, {96, 81, 90});
+  const ResumeKinds kinds = walk_bbv_columns(procs, cp);
+  EXPECT_GT(kinds.after_eviction, 0u);
+  EXPECT_GT(kinds.mid_stride, 0u);
+  expect_sweeps_match(procs, cp, "dense thresholds, capacity 4");
 }
 
 TEST(CurveRefDiffTest, MachineTraceMatchesReference) {

@@ -33,7 +33,7 @@ class VectorSource : public LineSource {
 std::string line_for(std::size_t index, const std::string& bench = "b") {
   StreamRecord r;
   r.spec_index = index;
-  r.key = "k" + std::to_string(index);
+  r.key = std::string("k").append(std::to_string(index));
   return format_record(bench, r);
 }
 
